@@ -38,21 +38,50 @@ __all__ = [
 ]
 
 # Below this many pairs the numpy setup cost exceeds the scalar loop.
-_BATCH_FALLBACK_PAIRS = 32
+# Measured on a 2-vCPU x86-64 host (CPython 3.11, numpy 2.4), µs per
+# pair scalar vs vectorised: Gnutella x4 (29 entries per label) 8.7 vs
+# 9.5 at 8 pairs, 8.7 vs 6.9 at 12; DE-USA x2 (77 per label) 21 vs 22
+# at 4 pairs, 18 vs 14 at 8.
+_BATCH_FALLBACK_PAIRS = 8
+
+
+def _label_lists(
+    store: LabelStore, s: int, t: int
+) -> Tuple[List[int], List[float], List[int], List[float]]:
+    """``L(s)`` and ``L(t)`` as plain Python lists ``(hs, ds, ht, dt)``.
+
+    A merge join over lists runs on Python ints and floats; walking the
+    numpy arrays would box one numpy scalar per element read, which
+    costs ~3x the join itself.  Slicing an ``np.memmap`` (an
+    mmap-loaded store) also builds a memmap object per slice, so the
+    slices are taken from plain ndarray views of the same buffers.
+    """
+    indptr, hubs, dists = store.finalized_arrays()
+    if type(hubs) is not np.ndarray:
+        indptr = indptr.view(np.ndarray)
+        hubs = hubs.view(np.ndarray)
+        dists = dists.view(np.ndarray)
+    a0, a1 = indptr[s : s + 2].tolist()
+    b0, b1 = indptr[t : t + 2].tolist()
+    return (
+        hubs[a0:a1].tolist(),
+        dists[a0:a1].tolist(),
+        hubs[b0:b1].tolist(),
+        dists[b0:b1].tolist(),
+    )
 
 
 def query_distance(store: LabelStore, s: int, t: int) -> float:
     """Distance between *s* and *t* by sorted merge join.
 
-    Requires :meth:`LabelStore.finalize` to have been called.  ``s == t``
-    returns 0 (the trivial path), matching Dijkstra.
+    Finalizes the store first if needed.  ``s == t`` returns 0 (the
+    trivial path), matching Dijkstra.  The join forms the same float64
+    sums ``d(u, s) + d(u, t)`` as :func:`query_distance_batch`, so the
+    two agree bit for bit.
     """
     if s == t:
         return 0.0
-    hs = store.finalized_hubs(s)
-    ds = store.finalized_dists(s)
-    ht = store.finalized_hubs(t)
-    dt = store.finalized_dists(t)
+    hs, ds, ht, dt = _label_lists(store, s, t)
     i = j = 0
     ls, lt = len(hs), len(ht)
     best = INF
@@ -68,7 +97,7 @@ def query_distance(store: LabelStore, s: int, t: int) -> float:
             i += 1
         else:
             j += 1
-    return float(best)
+    return best
 
 
 def _label_runs(
@@ -164,10 +193,7 @@ def query_result(store: LabelStore, s: int, t: int) -> QueryResult:
     """
     if s == t:
         return QueryResult(distance=0.0, hub=None, entries_scanned=0)
-    hs = store.finalized_hubs(s)
-    ds = store.finalized_dists(s)
-    ht = store.finalized_hubs(t)
-    dt = store.finalized_dists(t)
+    hs, ds, ht, dt = _label_lists(store, s, t)
     i = j = 0
     ls, lt = len(hs), len(ht)
     best = INF
@@ -178,14 +204,14 @@ def query_result(store: LabelStore, s: int, t: int) -> QueryResult:
             total = ds[i] + dt[j]
             if total < best:
                 best = total
-                best_hub = int(a)
+                best_hub = a
             i += 1
             j += 1
         elif a < b:
             i += 1
         else:
             j += 1
-    return QueryResult(distance=float(best), hub=best_hub, entries_scanned=i + j)
+    return QueryResult(distance=best, hub=best_hub, entries_scanned=i + j)
 
 
 def query_candidates(

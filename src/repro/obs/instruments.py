@@ -302,11 +302,12 @@ def record_request(
         SERVICE_ERRORS.labels(op=label).inc()
 
 
-def record_batch_pair(seconds: float) -> None:
-    """Record one pair's latency inside a batch request."""
+def record_batch_pair(seconds: float, pairs: int = 1) -> None:
+    """Record *pairs* per-pair latencies of *seconds* each inside a
+    batch request (a chunk served together shares its mean)."""
     if not _config.METRICS:
         return
-    SERVICE_LATENCY.labels(op="batch").observe(seconds)
+    SERVICE_LATENCY.labels(op="batch").observe(seconds, pairs)
 
 
 def record_slow_request(op: Optional[str]) -> None:

@@ -653,13 +653,21 @@ class Collector:
     def close(self) -> None:
         """Stop accepting, close the listener, join reader threads."""
         self._stop.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down does (accept fails with
+        # EINVAL), so the accept thread exits at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # pragma: no cover - not every OS allows it
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - best effort
             pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-            _hooks.join(self._accept_thread.name)
+            if not self._accept_thread.is_alive():
+                _hooks.join(self._accept_thread.name)
             self._accept_thread = None
         for reader in self._readers:
             reader.join(timeout=1.0)

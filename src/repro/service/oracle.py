@@ -37,7 +37,8 @@ class OracleStats:
     Attributes:
         queries: point-distance requests served.
         cache_hits: requests answered from the LRU cache.
-        batch_queries: batch requests served.
+        batch_queries: :meth:`DistanceOracle.batch` calls served (the
+            server makes one per chunk of a ``batch`` request).
         knn_queries: k-nearest requests served.
         path_queries: path-reconstruction requests served.
         explain_queries: EXPLAIN requests served.
@@ -162,7 +163,8 @@ class DistanceOracle:
         batch wall amortised over its pairs (the vectorised kernel does
         not time or scan-count pairs individually).
         """
-        self.start_batch()
+        with self._lock:
+            self.stats.batch_queries += 1
         norm = [(int(s), int(t)) for s, t in pairs]
         m = len(norm)
         if m == 0:
@@ -223,12 +225,6 @@ class DistanceOracle:
                         req_id=req_id,
                     )
         return out
-
-    def start_batch(self) -> None:
-        """Count one batch request (for callers that time pairs
-        individually and so call :meth:`distance` themselves)."""
-        with self._lock:
-            self.stats.batch_queries += 1
 
     def k_nearest(self, s: int, k: int) -> List[Tuple[int, float]]:
         """The *k* nearest vertices to *s* (exact, via inverted labels)."""

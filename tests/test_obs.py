@@ -140,6 +140,19 @@ class TestHistogram:
         assert snap["count"] == 5
         assert snap["sum"] == pytest.approx(32.0)
 
+    def test_weighted_observe_matches_repeated_observe(self):
+        # One chunk of a served batch adds k equal per-pair samples at
+        # once; that must equal k single observations.
+        reg = MetricsRegistry()
+        one = reg.histogram("one", "help", buckets=(1.0, 5.0, 10.0))
+        many = reg.histogram("many", "help", buckets=(1.0, 5.0, 10.0))
+        for value, k in ((0.5, 3), (5.0, 7), (12.0, 1)):
+            one.observe(value, count=k)
+            for _ in range(k):
+                many.observe(value)
+        assert one.value() == many.value()
+        assert one.value()["count"] == 11
+
     def test_bucket_mismatch_rejected(self):
         reg = MetricsRegistry()
         reg.histogram("h", "help", buckets=(1.0, 2.0))

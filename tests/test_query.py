@@ -147,6 +147,42 @@ class TestBatch:
         assert out.tolist() == [query_distance(store, 2, 3)] * 40
 
 
+class TestScalarMatchesBatch:
+    """The list-slice scalar join and the vectorised kernel form the
+    same float64 sums, so they agree bit for bit, on stores held in RAM
+    and on memory-mapped ones."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        from repro.core.index import PLLIndex
+        from repro.generators.random_graphs import gnm_random_graph
+
+        graph = gnm_random_graph(60, 110, seed=3)
+        return PLLIndex.build(graph)
+
+    def _check(self, store):
+        rng = np.random.default_rng(9)
+        pairs = rng.integers(0, store.n, size=(400, 2))
+        want = query_distance_batch(store, pairs)
+        got = [query_distance(store, int(s), int(t)) for s, t in pairs]
+        assert np.array_equal(np.array(got), want)
+        assert [
+            query_result(store, int(s), int(t)).distance for s, t in pairs
+        ] == got
+
+    def test_in_memory_store(self, index):
+        self._check(index.store)
+
+    def test_mmap_loaded_store(self, index, tmp_path):
+        from repro.core.index import PLLIndex
+
+        path = tmp_path / "g.index"
+        index.save(path, format="dir")
+        loaded = PLLIndex.load(path, mmap=True)
+        assert isinstance(loaded.store.finalized_arrays()[1], np.memmap)
+        self._check(loaded.store)
+
+
 class TestTmpHelpers:
     def test_load_with_extra(self, store):
         tmp = [INF] * 4

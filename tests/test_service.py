@@ -193,6 +193,28 @@ class TestServer:
             with pytest.raises(ReproError):
                 client.distance(0, 10_000)  # out of range
 
+    def test_accepted_socket_has_nodelay(self, index, monkeypatch):
+        import socket
+
+        from repro.service import server as server_mod
+
+        seen = []
+        handle = server_mod._Handler.handle
+
+        def spy(handler):
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+            handle(handler)
+
+        monkeypatch.setattr(server_mod._Handler, "handle", spy)
+        with DistanceServer(DistanceOracle(index)) as server:
+            with DistanceClient("127.0.0.1", server.port) as client:
+                assert client.ping()
+        assert seen and seen[0] != 0
+
     def test_multiple_clients(self, index, server):
         clients = [
             DistanceClient("127.0.0.1", server.port) for _ in range(3)
@@ -521,6 +543,106 @@ class TestBatchLatencyAndDeadline:
             with DistanceClient("127.0.0.1", server.port) as client:
                 out = client.batch([(0, 1), (2, 3), (4, 5)])
         assert len(out) == 3
+
+
+@pytest.fixture(scope="module")
+def split_index():
+    """A random graph plus a disjoint path: some pairs are unreachable."""
+    from repro.generators.random_graphs import gnm_random_graph
+    from repro.graph.builder import GraphBuilder
+
+    base = gnm_random_graph(40, 100, seed=11)
+    n = base.num_vertices
+    builder = GraphBuilder(num_vertices=n + 3)
+    builder.add_edges(base.edges())
+    builder.add_edges([(n, n + 1, 0.1), (n + 1, n + 2, 1e-9)])
+    return PLLIndex.build(builder.build(name="split"))
+
+
+def _served(reply):
+    return [math.inf if d == "inf" else d for d in reply["distances"]]
+
+
+class TestChunkedBatch:
+    def _pairs(self, index):
+        import numpy as np
+
+        n = index.num_vertices
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, n, size=(90, 2)).tolist()
+        pairs += [[v, v] for v in (0, n - 1, n - 2)]  # s == t
+        pairs += [pairs[0]] * 4 + [pairs[7][::-1]]  # repeats
+        pairs += [[0, n - 1], [n - 2, 3], [n - 3, n - 1]]  # unreachable
+        rng.shuffle(pairs)
+        return pairs
+
+    def _call(self, server, pairs):
+        import json as _json
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            f = sock.makefile("rwb")
+            f.write(_json.dumps({"op": "batch", "pairs": pairs}).encode())
+            f.write(b"\n")
+            f.flush()
+            return _json.loads(f.readline())
+
+    def test_multi_chunk_batch_is_bit_exact(self, split_index, monkeypatch):
+        from repro import obs
+        from repro.service import server as server_mod
+
+        monkeypatch.setattr(server_mod, "MAX_CHUNK_PAIRS", 7)
+        obs.reset()
+        pairs = self._pairs(split_index)
+        oracle = DistanceOracle(split_index, cache_size=16)
+        with DistanceServer(oracle, slow_query_seconds=60.0) as server:
+            reply = self._call(server, pairs)
+        assert reply["ok"] is True
+        want = split_index.distance_batch(pairs).tolist()
+        assert math.inf in want
+        assert _served(reply) == want
+        # First pair alone, then chunks of at most 7 pairs.
+        assert oracle.stats.batch_queries >= 1 + (len(pairs) - 1) // 7
+        snapshot = {m["name"]: m for m in obs.get_registry().snapshot()}
+        series = [
+            s
+            for s in snapshot["parapll_service_request_seconds"]["series"]
+            if s["labels"] == {"op": "batch"}
+        ]
+        assert series[0]["value"]["count"] == len(pairs)
+
+    def test_no_deadline_batch_is_bit_exact(self, split_index):
+        pairs = self._pairs(split_index)
+        oracle = DistanceOracle(split_index)
+        with DistanceServer(oracle, slow_query_seconds=None) as server:
+            reply = self._call(server, pairs)
+        assert _served(reply) == split_index.distance_batch(pairs).tolist()
+        # The first pair alone, then the rest as one chunk.
+        assert oracle.stats.batch_queries == 2
+
+    def test_aborted_batch_returns_a_prefix(self, split_index, monkeypatch):
+        import time as _time
+
+        from repro.service import server as server_mod
+
+        class SlowOracle(DistanceOracle):
+            def batch(self, pairs):
+                _time.sleep(0.01)
+                return super().batch(pairs)
+
+        monkeypatch.setattr(server_mod, "MAX_CHUNK_PAIRS", 3)
+        pairs = self._pairs(split_index)
+        with DistanceServer(
+            SlowOracle(split_index), slow_query_seconds=0.035
+        ) as server:
+            reply = self._call(server, pairs)
+        assert reply["ok"] is False
+        done = reply["completed"]
+        assert 1 <= done < len(pairs)
+        want = split_index.distance_batch(pairs).tolist()
+        assert _served(reply) == want[:done]
 
 
 class TestConcurrentIntrospection:

@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -301,6 +302,17 @@ class TestHistogramMergeProperty:
         for value in (0.05, 0.5, 0.5, 5.0, 500.0):
             h.observe(value)
         assert histogram_bucket_counts(h.value()) == [1, 2, 1, 1]
+
+
+class TestCollectorLifecycle:
+    def test_close_is_prompt_and_joins_accept_thread(self):
+        collector = Collector(registry=MetricsRegistry()).start()
+        time.sleep(0.1)  # let the accept thread block in accept()
+        t0 = time.perf_counter()
+        collector.close()
+        assert time.perf_counter() - t0 < 1.0
+        names = [t.name for t in threading.enumerate()]
+        assert "telemetry-collector" not in names
 
 
 class TestRelayInProcess:
