@@ -1619,7 +1619,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cf = csub.add_parser(
         "dataflow",
-        help="thread-role dataflow rules PC007..PC012 over a call graph",
+        help="thread-role dataflow rules PC007..PC011 over a call graph",
     )
     cf.add_argument(
         "paths", nargs="*", default=["src"],

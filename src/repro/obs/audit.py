@@ -30,7 +30,7 @@ pre/post dynamic repair, two rank orders — and flags regressions
 (new dominated entries, label growth) explicitly.
 
 Surfaces: ``parapll audit run | diff`` (CLI), the ``audit`` server op,
-and the ``audit_overhead`` perf workload.
+and the ``hook_overhead`` perf workload.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ into periodic progress snapshots:
 Snapshots are emitted on a sampling schedule (every ``sample_every``
 roots and/or every ``interval_seconds`` of wall time — sampling, not
 per-root emission, is what keeps the monitor's overhead under the <5 %
-``build_serial`` budget gated by the ``audit_overhead`` perf workload).
+``build_serial`` budget gated by the ``hook_overhead`` perf workload).
 Each emitted snapshot goes three places at once:
 
 * the monitor's own event list, exportable as ``parapll-buildmon/1``
@@ -48,7 +48,6 @@ That keeps the hot loops free of plumbing and the disabled cost at one
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -66,6 +65,7 @@ from typing import (
 
 from repro.obs import config as _config
 from repro.obs import flightrec as _flightrec
+from repro.obs import export as _export
 from repro.types import SearchStats
 
 __all__ = [
@@ -363,23 +363,14 @@ class BuildMonitor:
         """
         with self._lock:
             events = list(self.events)
-        header = {
-            "kind": "header",
-            "schema": BUILDMON_SCHEMA,
-            "pid": os.getpid(),
-            "total_roots": self.total_roots,
-            "events": len(events),
-            "dumped_at": time.time(),
-        }
-        lines = [json.dumps(header)]
-        lines.extend(json.dumps(event) for event in events)
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)  # type: ignore[union-attr]
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-                fh.write(text)
-        return len(events)
+        return _export.write_jsonl(
+            path_or_file,
+            BUILDMON_SCHEMA,
+            events,
+            pid=os.getpid(),
+            total_roots=self.total_roots,
+            events=len(events),
+        )
 
     def render(self, snapshot: Optional[Dict[str, Any]] = None) -> str:
         """One ``parapll top``-style text frame of the build."""

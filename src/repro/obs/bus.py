@@ -287,7 +287,7 @@ def publish_event(name: str, **attrs: Any) -> None:
 
     This is the instrumented paths' hook; it costs one global load and
     an ``is None`` test when no bus is installed, gated by the
-    ``telemetry_overhead`` perf workload when one is.
+    ``hook_overhead`` perf workload when one is.
     """
     bus = _active
     if bus is not None:

@@ -8,7 +8,9 @@ read.
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Union
+import os
+import time
+from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.obs.metrics import (
     DEFAULT_QUANTILES,
@@ -21,6 +23,8 @@ from repro.obs.trace import TraceRecord, get_tracer
 
 __all__ = [
     "prometheus_text",
+    "write_text",
+    "write_jsonl",
     "trace_to_jsonl",
     "write_trace_jsonl",
     "read_trace_jsonl",
@@ -92,6 +96,45 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
 
 
 # ----------------------------------------------------------------------
+# File output
+# ----------------------------------------------------------------------
+PathOrFile = Union[str, os.PathLike, IO[str]]
+
+
+def write_text(path_or_file: PathOrFile, text: str) -> None:
+    """Write *text* to an open text file, or create/truncate a path."""
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)  # type: ignore[union-attr]
+    else:
+        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
+            fh.write(text)
+
+
+def write_jsonl(
+    path_or_file: PathOrFile,
+    schema: str,
+    records: Sequence[Dict[str, Any]],
+    /,
+    **header: Any,
+) -> int:
+    """Write a header line, then one JSON object per record.
+
+    The shared dump format of the flight recorder, the query log and
+    the build monitor: the header is ``{"kind": "header", "schema":
+    schema, **header, "dumped_at": <wall time>}``, keys in that order.
+
+    Returns:
+        The number of records written (header excluded).
+    """
+    head = {"kind": "header", "schema": schema, **header}
+    head["dumped_at"] = time.time()
+    lines = [json.dumps(head)]
+    lines.extend(json.dumps(record) for record in records)
+    write_text(path_or_file, "\n".join(lines) + "\n")
+    return len(records)
+
+
+# ----------------------------------------------------------------------
 # JSONL traces
 # ----------------------------------------------------------------------
 def trace_to_jsonl(records: Optional[Iterable[TraceRecord]] = None) -> str:
@@ -115,12 +158,7 @@ def write_trace_jsonl(
     if records is None:
         records = get_tracer().records()
     records = list(records)
-    text = trace_to_jsonl(records)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)  # type: ignore[union-attr]
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            fh.write(text)
+    write_text(path_or_file, trace_to_jsonl(records))
     return len(records)
 
 

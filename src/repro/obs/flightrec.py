@@ -35,13 +35,14 @@ the monotonic clock).
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import os
 import threading
 import time
 from collections import deque
 from typing import IO, Any, Dict, List, Optional, Union
+
+from repro.obs import export as _export
 
 __all__ = [
     "FLIGHTREC_SCHEMA",
@@ -154,24 +155,15 @@ def dump_events(
     dump`` when the events came over the wire from another process's
     recorder (the server's ``debug`` op).
     """
-    header = {
-        "kind": "header",
-        "schema": FLIGHTREC_SCHEMA,
-        "pid": pid,
-        "reason": reason,
-        "events": len(events),
-        "capacity": capacity,
-        "dumped_at": time.time(),
-    }
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(event) for event in events)
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)  # type: ignore[union-attr]
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            fh.write(text)
-    return len(events)
+    return _export.write_jsonl(
+        path_or_file,
+        FLIGHTREC_SCHEMA,
+        events,
+        pid=pid,
+        reason=reason,
+        events=len(events),
+        capacity=capacity,
+    )
 
 
 _global_recorder = FlightRecorder()

@@ -19,10 +19,10 @@ Three metric kinds, with different noise characteristics:
   exactly by default with per-metric overrides.
 
 The workload set covers every execution mode: serial build, threaded
-build at p ∈ {1, 4}, simulated build, cluster build with one sync, a
-query batch, a TCP server round-trip, a seeded closed-loop traffic
-replay with an SLO verdict, and the qlog/SLO and telemetry-relay
-hot-path overhead gates.
+build at p ∈ {1, 4}, multi-process build, simulated build, cluster
+build with one sync, a query batch, a TCP server round-trip, a seeded
+closed-loop traffic replay with an SLO verdict, and one overhead gate
+per diagnostic hook (explain, audit, qlog, check, telemetry).
 """
 
 from __future__ import annotations
@@ -448,151 +448,6 @@ def _wl_index_invariants(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def _wl_explain_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """EXPLAIN must cost the plain query path nothing.
-
-    EXPLAIN runs on a separate diagnostic code path
-    (:func:`repro.core.query.query_candidates`), not an ``if`` inside
-    the hot merge join — so this workload times the *plain*
-    ``query_distance`` loop (gating it like any other time metric: a
-    regression here means EXPLAIN leaked into the hot path) and
-    separately times the EXPLAIN loop, while asserting that every
-    explained distance equals the plain query bit-for-bit.
-    """
-    import numpy as np
-
-    from repro.core.index import PLLIndex
-    from repro.core.paths import isclose_distance
-    from repro.core.query import query_distance
-
-    index = PLLIndex.build(ctx.graph)
-    store = index.store
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed + 17)
-    pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(100, 2))]
-
-    t0 = time.perf_counter()
-    plain = [query_distance(store, s, t) for s, t in pairs]
-    plain_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    explanations = [index.explain(s, t) for s, t in pairs]
-    explain_wall = time.perf_counter() - t0
-
-    # atol=0.0 makes isclose_distance an exact-equality test (with the
-    # INF sentinel handled): EXPLAIN must reproduce the query verbatim.
-    matches = sum(
-        1
-        for d, e in zip(plain, explanations)
-        if isclose_distance(d, e.distance, atol=0.0)
-    )
-    return {
-        "plain_query_seconds": _metric(plain_wall, "time", "s"),
-        "explain_seconds": _metric(explain_wall, "time", "s"),
-        "explain_matches": _metric(float(matches), "counter", "pairs"),
-        "pairs": _metric(float(len(pairs)), "counter", "pairs"),
-    }
-
-
-def _wl_audit_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """Buildmon must be (nearly) free; the audit must stay canonical.
-
-    The <5% overhead assertion cannot be enforced by differencing two
-    whole-build walls: on the sub-100ms suite build, run-to-run wall
-    noise is ±10% — larger than the bound being asserted — so that
-    gate would fail on noise, not regressions.  Instead the monitor's
-    *added work* is timed directly: the build calls ``root_done`` once
-    per root plus the sampled emissions, so n hook calls (driving the
-    same sampling schedule a monitored build would) divided by the
-    plain build wall IS the overhead fraction, and because its true
-    value is ~1% the noise multiplies a small number and the 5% gate
-    holds deterministically.  ``overhead_within_gate`` (exact counter)
-    fails the perf comparison outright if the fraction ever exceeds
-    0.05; ``monitor_overhead_ratio`` keeps the end-to-end
-    monitored/plain wall ratio as an informational time metric; and
-    ``progress_events`` pins the sampling schedule exactly, so a
-    change that makes the monitor emit per root fails even when the
-    machine is too noisy to see it in the walls.  The same workload
-    times a full ``audit_index`` pass and pins its dominated count to
-    zero — a serial build is canonical by construction, so a nonzero
-    count here means the builder or the audit broke.
-    """
-    from repro.core.index import PLLIndex
-    from repro.core.serial import build_serial
-    from repro.obs import buildmon as _buildmon
-    from repro.obs.audit import audit_index
-    from repro.obs.buildmon import BuildMonitor
-    from repro.types import SearchStats
-
-    n = ctx.graph.num_vertices
-    sample_every = max(1, n // 20)
-
-    def _monitor() -> BuildMonitor:
-        return BuildMonitor(
-            total_roots=n,
-            sample_every=sample_every,
-            interval_seconds=None,
-            keep_per_root=False,
-        )
-
-    def plain_wall() -> float:
-        t0 = time.perf_counter()
-        build_serial(ctx.graph)
-        return time.perf_counter() - t0
-
-    def monitored_wall() -> float:
-        monitor = _monitor()
-        with _buildmon.monitored(monitor):
-            t0 = time.perf_counter()
-            build_serial(ctx.graph)
-            wall = time.perf_counter() - t0
-        events[0] = len(monitor.events)
-        return wall
-
-    events = [0]
-    plain = min(plain_wall() for _ in range(3))
-    monitored = min(monitored_wall() for _ in range(3))
-
-    # The monitor's entire footprint in a serial build: one root_done
-    # per root, same sampling schedule, same stats bookkeeping.
-    hook_monitor = _monitor()
-    stats = SearchStats(root=0, settled=20, pruned=8, labels_added=12)
-    t0 = time.perf_counter()
-    for root in range(n):
-        hook_monitor.root_done(0, root, stats=stats)
-    hook_wall = time.perf_counter() - t0
-    fraction = hook_wall / plain
-
-    index = PLLIndex.build(ctx.graph)
-    t0 = time.perf_counter()
-    report = audit_index(index, source="perf")
-    audit_wall = time.perf_counter() - t0
-
-    return {
-        "plain_build_seconds": _metric(plain, "time", "s"),
-        "monitored_build_seconds": _metric(monitored, "time", "s"),
-        # End-to-end wall ratio, informational only (see docstring).
-        "monitor_overhead_ratio": _metric(
-            monitored / plain, "time", "x", tol=0.5
-        ),
-        "monitor_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        # The hard gate: exact counter, 1.0 iff overhead <= 5%.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.05 else 0.0, "counter", "bool"
-        ),
-        "progress_events": _metric(
-            float(events[0]), "counter", "events"
-        ),
-        "audit_seconds": _metric(audit_wall, "time", "s"),
-        "dominated_entries": _metric(
-            float(report["dominated"]["count"]), "counter", "entries"
-        ),
-        "label_entries": _metric(
-            float(report["total_entries"]), "counter", "entries"
-        ),
-    }
-
-
 def _wl_serve_replay(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     """Seeded closed-loop replay against a live server, gated.
 
@@ -645,351 +500,441 @@ def _wl_serve_replay(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
     }
 
 
-def _wl_qlog_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The qlog + SLO hooks must cost the serve path <5%.
+def _wall(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> float:
+    """Seconds one call ``fn(*args, **kwargs)`` takes."""
+    t0 = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - t0
 
-    Same reasoning as ``audit_overhead``: differencing two whole walls
-    cannot assert a 5% bound under ±10% run noise, so the hooks' *added
-    work* is timed directly and divided by the wall the hooks ride — a
-    plain served request over the loopback TCP stack (socket + JSON
-    framing + dispatch + oracle), measured as min-of-3 like the other
-    overhead gates.  Per served request the added work is exactly: one
-    :func:`repro.obs.qlog.record_query` call against an installed
-    recorder (global load + seeded sampling decision + on sampled
-    queries the record append) plus one
-    :meth:`~repro.obs.slo.SLOTracker.record` (one lock, one bucket
-    bisect, per-threshold exceedance counts).  The gate is evaluated at
-    5% sampling — the recommended always-on capture rate; full capture
-    (``qlog_sample=1.0``, the default, meant for short diagnostic
-    windows) is reported informationally as ``full_sample_fraction``.
-    ``qlog_records`` pins the seeded sampler's output exactly: a
-    different count means sampling determinism broke.
+
+def _min_of(n: int, fn: Callable[[], float]) -> float:
+    """The smallest of *n* calls of *fn*, a function returning seconds."""
+    return min(fn() for _ in range(n))
+
+
+def _gate(fraction: float, bound: float) -> Dict[str, Any]:
+    """The hard gate: exact counter, 1.0 iff *fraction* <= *bound*."""
+    return _metric(1.0 if fraction <= bound else 0.0, "counter", "bool")
+
+
+def _wl_hook_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
+    """Each diagnostic hook must cost the path it rides (nearly) nothing.
+
+    A 5% or 10% bound cannot be asserted by differencing two whole
+    walls: on the sub-100ms suite graph, run-to-run wall noise is ±10%,
+    larger than the bound, so that gate would fail on noise, not on
+    regressions.  Instead each hook's *added work* is timed directly
+    and divided by the plain wall of the path it rides, both min-of-3.
+    The true fractions are a few percent, so the noise multiplies a
+    small number and the gates hold deterministically.
+    ``<hook>_within_gate`` (exact counter) fails the comparison outright
+    when a fraction exceeds its bound; each end-to-end hooked/plain wall
+    ratio is kept as an informational time metric.
+
+    The plain walls are measured once and shared: ``serial_build_seconds``
+    (``build_serial``), ``thread_build_seconds``
+    (``build_parallel_threads``, p=4, dynamic) and ``served_seconds``
+    (1000 distance requests over the loopback TCP stack).  The hooks
+    and their added work:
+
+    * **explain** runs on its own code path
+      (:func:`repro.core.query.query_candidates`), not inside the merge
+      join, so its gate is the plain ``query_distance`` loop's own time
+      metric; every explained distance must equal the plain query.
+    * **audit** (build monitor, <= 5% of the serial build): one
+      ``root_done`` per root on the sampling schedule a monitored build
+      drives, which ``audit_progress_events`` pins.  A full
+      ``audit_index`` pass is timed too; its dominated count must be
+      zero, as a serial build is canonical by construction.
+    * **qlog** (query log + SLO tracker, <= 5% of a served request at
+      the recommended 5% sampling): one ``record_query`` and one
+      ``SLOTracker.record`` per request.  Full capture is reported
+      informationally; ``qlog_records`` pins the seeded sampler.
+    * **check** (vector-clock sanitizer, <= 10% of the threaded build):
+      the hook schedule one sanitized build observed, replayed against a
+      fresh engine.  That build must be race-free.
+    * **telemetry** (relay producer, <= 5% of the threaded build): one
+      ``publish_event`` per committed root against an installed bus.
+      One build with the relay plane live pins the collector's merge
+      exact, with zero drops, malformed frames and merge errors.
+
+    With no sanitizer or bus installed the hooks must dispatch to
+    nothing: ``check_hooks_active_when_off`` and
+    ``telemetry_bus_active_when_off`` pin the off-paths to zero.  The
+    garbage collector is off for the whole workload, since automatic
+    gen2 passes over the heap the suite has built would make the
+    fractions track heap size rather than the hooks; the caller's GC
+    state and sanitizer are restored on exit.
     """
+    import gc
+
     import numpy as np
 
+    from repro.check import hooks as _check_hooks
     from repro.core.index import PLLIndex
-    from repro.obs import qlog as _qlog
+    from repro.core.serial import build_serial
+    from repro.parallel.threads import build_parallel_threads
+
+    gc_was_enabled = gc.isenabled()
+    ambient = _check_hooks.get_active()
+    gc.disable()
+    _check_hooks.set_active(None)
+    try:
+        index = PLLIndex.build(ctx.graph)
+        serial = _min_of(3, lambda: _wall(build_serial, ctx.graph))
+        threads = _min_of(
+            3,
+            lambda: _wall(
+                build_parallel_threads, ctx.graph, 4, policy="dynamic"
+            ),
+        )
+        rng = np.random.default_rng(ctx.seed + 31)
+        n = ctx.graph.num_vertices
+        pairs = [
+            (int(s), int(t)) for s, t in rng.integers(0, n, size=(1000, 2))
+        ]
+        served = _served_seconds(index, pairs)
+        out = {
+            "serial_build_seconds": _metric(serial, "time", "s"),
+            "thread_build_seconds": _metric(threads, "time", "s"),
+            "served_seconds": _metric(served, "time", "s"),
+        }
+        out.update(_explain_cost(ctx, index))
+        out.update(_audit_cost(ctx, index, serial))
+        out.update(_qlog_cost(ctx, pairs, served))
+        out.update(_check_cost(ctx, threads))
+        out.update(_telemetry_cost(ctx, threads))
+        return out
+    finally:
+        _check_hooks.set_active(ambient)
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _served_seconds(index: Any, pairs: List[Any]) -> float:
+    """Min-of-3 wall of *pairs* sent as plain distance requests."""
     from repro.obs.slo import SLOTracker
     from repro.service.oracle import DistanceOracle
     from repro.service.server import DistanceClient, DistanceServer
 
-    index = PLLIndex.build(ctx.graph)
-    n = ctx.graph.num_vertices
-    rng = np.random.default_rng(ctx.seed + 31)
-    pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(1000, 2))]
+    def loop(client: DistanceClient) -> None:
+        for s, t in pairs:
+            client.distance(s, t)
 
     oracle = DistanceOracle(index, cache_size=1024)
     with DistanceServer(oracle, slo_tracker=SLOTracker()) as server:
-        client = DistanceClient("127.0.0.1", server.port)
-        try:
+        with DistanceClient("127.0.0.1", server.port) as client:
+            return _min_of(3, lambda: _wall(loop, client))
 
-            def plain_wall() -> float:
-                t0 = time.perf_counter()
-                for s, t in pairs:
-                    client.distance(s, t)
-                return time.perf_counter() - t0
 
-            plain = min(plain_wall() for _ in range(3))
-        finally:
-            client.close()
+def _explain_cost(ctx: PerfContext, index: Any) -> Dict[str, Dict[str, Any]]:
+    import numpy as np
+
+    from repro.core.paths import isclose_distance
+    from repro.core.query import query_distance
+
+    store = index.store
+    n = ctx.graph.num_vertices
+    rng = np.random.default_rng(ctx.seed + 17)
+    pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(100, 2))]
+
+    t0 = time.perf_counter()
+    plain = [query_distance(store, s, t) for s, t in pairs]
+    plain_wall = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    explanations = [index.explain(s, t) for s, t in pairs]
+    explain_wall = time.perf_counter() - t0
+
+    # atol=0.0 makes isclose_distance an exact-equality test (with the
+    # INF sentinel handled): EXPLAIN must reproduce the query verbatim.
+    matches = sum(
+        1
+        for d, e in zip(plain, explanations)
+        if isclose_distance(d, e.distance, atol=0.0)
+    )
+    return {
+        "explain_plain_query_seconds": _metric(plain_wall, "time", "s"),
+        "explain_seconds": _metric(explain_wall, "time", "s"),
+        "explain_matches": _metric(float(matches), "counter", "pairs"),
+        "explain_pairs": _metric(float(len(pairs)), "counter", "pairs"),
+    }
+
+
+def _audit_cost(
+    ctx: PerfContext, index: Any, serial: float
+) -> Dict[str, Dict[str, Any]]:
+    from repro.core.serial import build_serial
+    from repro.obs import buildmon as _buildmon
+    from repro.obs.audit import audit_index
+    from repro.obs.buildmon import BuildMonitor
+    from repro.types import SearchStats
+
+    n = ctx.graph.num_vertices
+
+    def _monitor() -> BuildMonitor:
+        return BuildMonitor(
+            total_roots=n,
+            sample_every=max(1, n // 20),
+            interval_seconds=None,
+            keep_per_root=False,
+        )
+
+    events = [0]
+
+    def monitored_wall() -> float:
+        monitor = _monitor()
+        with _buildmon.monitored(monitor):
+            wall = _wall(build_serial, ctx.graph)
+        events[0] = len(monitor.events)
+        return wall
+
+    monitored = _min_of(3, monitored_wall)
+
+    # The monitor's entire footprint in a serial build: one root_done
+    # per root, same sampling schedule, same stats bookkeeping.
+    hook_monitor = _monitor()
+    stats = SearchStats(root=0, settled=20, pruned=8, labels_added=12)
+    t0 = time.perf_counter()
+    for root in range(n):
+        hook_monitor.root_done(0, root, stats=stats)
+    fraction = (time.perf_counter() - t0) / serial
+
+    t0 = time.perf_counter()
+    report = audit_index(index, source="perf")
+    audit_wall = time.perf_counter() - t0
+
+    return {
+        "audit_monitored_build_seconds": _metric(monitored, "time", "s"),
+        "audit_monitor_overhead_ratio": _metric(
+            monitored / serial, "time", "x", tol=0.5
+        ),
+        "audit_monitor_hook_fraction": _metric(
+            fraction, "time", "x", tol=1.0
+        ),
+        "audit_within_gate": _gate(fraction, 0.05),
+        "audit_progress_events": _metric(
+            float(events[0]), "counter", "events"
+        ),
+        "audit_seconds": _metric(audit_wall, "time", "s"),
+        "audit_dominated_entries": _metric(
+            float(report["dominated"]["count"]), "counter", "entries"
+        ),
+        "audit_label_entries": _metric(
+            float(report["total_entries"]), "counter", "entries"
+        ),
+    }
+
+
+def _qlog_cost(
+    ctx: PerfContext, pairs: List[Any], served: float
+) -> Dict[str, Dict[str, Any]]:
+    from repro.obs import qlog as _qlog
+    from repro.obs.slo import SLOTracker
 
     def hook_wall(sample: float) -> tuple:
         recorder = _qlog.QueryLogRecorder(sample=sample, seed=ctx.seed)
         tracker = SLOTracker()
+
+        def loop() -> float:
+            recorder.clear()
+            t0 = time.perf_counter()
+            for s, t in pairs:
+                _qlog.record_query("distance", s, t, 10.0)
+                tracker.record(1e-5, ok=True)
+            return time.perf_counter() - t0
+
         _qlog.install(recorder)
         try:
-            wall = float("inf")
-            for _ in range(3):
-                recorder.clear()
-                t0 = time.perf_counter()
-                for s, t in pairs:
-                    _qlog.record_query("distance", s, t, 10.0)
-                    tracker.record(1e-5, ok=True)
-                wall = min(wall, time.perf_counter() - t0)
+            return _min_of(3, loop), recorder.sampled
         finally:
             _qlog.uninstall()
-        return wall, recorder.sampled
 
     sampled_wall, records = hook_wall(0.05)
     full_wall, _ = hook_wall(1.0)
-    fraction = sampled_wall / plain
+    fraction = sampled_wall / served
     return {
-        "plain_serve_seconds": _metric(plain, "time", "s"),
-        "hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        "full_sample_fraction": _metric(
-            full_wall / plain, "time", "x", tol=1.0
+        "qlog_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
+        "qlog_full_sample_fraction": _metric(
+            full_wall / served, "time", "x", tol=1.0
         ),
-        # The hard gate: exact counter, 1.0 iff overhead at the
-        # recommended 5% sampling rate stays <= 5% of the
-        # served-request wall.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.05 else 0.0, "counter", "bool"
-        ),
+        "qlog_within_gate": _gate(fraction, 0.05),
         "qlog_records": _metric(float(records), "counter", "records"),
-        "pairs": _metric(float(len(pairs)), "counter", "pairs"),
+        "qlog_pairs": _metric(float(len(pairs)), "counter", "pairs"),
     }
 
 
-def _wl_check_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The vector-clock sanitizer must cost the thread build <10%.
-
-    Same direct-measurement reasoning as ``audit_overhead``: a 10%
-    bound cannot be asserted by differencing two whole-build walls
-    under ±10% run noise.  One instrumented build (under
-    ``PARAPLL_SANITIZE=vc`` semantics: a fresh
-    ``VectorClockSanitizer`` installed) counts the actual hook traffic
-    — tracked accesses, lock acquire/release pairs, fork/join events —
-    and must finish race-free (``vc_races`` pins that to zero).  The
-    sanitizer's *added work* is then timed directly by replaying that
-    exact hook schedule against a fresh engine, and divided by the
-    plain build wall; ``overhead_within_gate`` (exact counter) fails
-    the comparison outright if the fraction exceeds 0.10.  When the
-    sanitizer is off the hooks must dispatch to nothing:
-    ``hooks_active_when_off`` pins the off-path to an exact zero.
-    """
-    import gc
-
+def _check_cost(ctx: PerfContext, threads: float) -> Dict[str, Dict[str, Any]]:
     from repro.check import hooks as _check_hooks
     from repro.check.vectorclock import VectorClockSanitizer
     from repro.parallel.threads import build_parallel_threads
 
-    def plain_wall() -> float:
+    hooks_active = 1.0 if _check_hooks.get_active() is not None else 0.0
+    build_vc = VectorClockSanitizer()
+    with build_vc:
+        sanitized = _wall(
+            build_parallel_threads, ctx.graph, 4, policy="dynamic"
+        )
+
+    # Replay the observed hook schedule against a fresh engine: that
+    # loop IS the sanitizer's entire footprint in the build.  The
+    # instrumented build splits its accesses into two measured
+    # populations — same-owner re-writes riding the FastTrack same-epoch
+    # fast path (the overwhelming majority: commits to a vertex's label
+    # streak from one worker) and full epoch-allocating, stack-capturing
+    # slow-path accesses — and the replay reproduces that observed mix
+    # exactly: a fresh location per slow-path access (a one-location
+    # replay would ride the fast path and dodge the conflict checks),
+    # then the fast-path population as repeated writes to one hot
+    # location.
+    slow = build_vc.accesses_tracked - build_vc.fastpath_hits
+    names = [f"perf.store.{i}" for i in range(slow)]
+    syncs = build_vc.sync_events // 2
+
+    def replay_wall() -> float:
+        replay = VectorClockSanitizer()
+        lock = replay.make_lock("perf.commit")
         t0 = time.perf_counter()
-        build_parallel_threads(ctx.graph, 4, policy="dynamic")
+        for name in names:
+            with lock:
+                replay.record_access(name, write=True)
+        for _ in range(build_vc.fastpath_hits):
+            with lock:
+                replay.record_access("perf.store.hot", write=True)
+        for i in range(syncs):
+            replay.thread_fork(f"perf-w{i}")
+            replay.thread_join(f"perf-w{i}")
         return time.perf_counter() - t0
 
-    # Off-path: with no sanitizer installed the hooks are no-ops.
-    ambient = _check_hooks.get_active()
-    _check_hooks.set_active(None)
-    # Freeze the garbage collector across the timed sections: by this
-    # point the suite has built a dozen indexes, and automatic gen2
-    # passes scan that whole heap mid-loop — the measured fraction
-    # would track heap size (and the workload's position in the
-    # suite), not the sanitizer.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        hooks_active = 1.0 if _check_hooks.get_active() is not None else 0.0
-        plain = min(plain_wall() for _ in range(3))
-
-        build_vc = VectorClockSanitizer()
-        with build_vc:
-            t0 = time.perf_counter()
-            build_parallel_threads(ctx.graph, 4, policy="dynamic")
-            sanitized = time.perf_counter() - t0
-
-        # Replay the observed hook schedule against a fresh engine:
-        # that loop IS the sanitizer's entire footprint in the build.
-        # The instrumented build splits its accesses into two measured
-        # populations — same-owner re-writes riding the FastTrack
-        # same-epoch fast path (the overwhelming majority: commits to a
-        # vertex's label streak from one worker) and full
-        # epoch-allocating, stack-capturing slow-path accesses — and
-        # the replay reproduces that observed mix exactly: a fresh
-        # location per slow-path access (a one-location replay would
-        # ride the fast path and dodge the conflict checks), then the
-        # fast-path population as repeated writes to one hot location.
-        slow = build_vc.accesses_tracked - build_vc.fastpath_hits
-        names = [f"perf.store.{i}" for i in range(slow)]
-        syncs = build_vc.sync_events // 2
-
-        def replay_wall() -> float:
-            replay = VectorClockSanitizer()
-            lock = replay.make_lock("perf.commit")
-            t0 = time.perf_counter()
-            for name in names:
-                with lock:
-                    replay.record_access(name, write=True)
-            for _ in range(build_vc.fastpath_hits):
-                with lock:
-                    replay.record_access("perf.store.hot", write=True)
-            for i in range(syncs):
-                replay.thread_fork(f"perf-w{i}")
-                replay.thread_join(f"perf-w{i}")
-            return time.perf_counter() - t0
-
-        # Best of three, like the plain wall it is divided by.
-        hook_wall = min(replay_wall() for _ in range(3))
-        fraction = hook_wall / plain
-    finally:
-        _check_hooks.set_active(ambient)
-
+    fraction = _min_of(3, replay_wall) / threads
     return {
-        "plain_build_seconds": _metric(plain, "time", "s"),
-        "sanitized_build_seconds": _metric(sanitized, "time", "s"),
-        # End-to-end wall ratio, informational only (see docstring).
-        "sanitizer_overhead_ratio": _metric(
-            sanitized / plain, "time", "x", tol=0.5
+        "check_sanitized_build_seconds": _metric(sanitized, "time", "s"),
+        "check_sanitizer_overhead_ratio": _metric(
+            sanitized / threads, "time", "x", tol=0.5
         ),
-        "sanitizer_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        # The hard gate: exact counter, 1.0 iff overhead <= 10%.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.10 else 0.0, "counter", "bool"
+        "check_sanitizer_hook_fraction": _metric(
+            fraction, "time", "x", tol=1.0
         ),
-        "vc_races": _metric(
+        "check_within_gate": _gate(fraction, 0.10),
+        "check_vc_races": _metric(
             float(len(build_vc.reports)), "counter", "races"
         ),
         # Commit traffic tracks labels-added, which is interleaving-
         # dependent at p=4 (same reason thread_build_p4 widens labels).
-        "vc_accesses": _metric(
+        "check_vc_accesses": _metric(
             float(build_vc.accesses_tracked), "counter", "accesses",
             tol=0.5,
         ),
-        "vc_fastpath_hits": _metric(
+        "check_vc_fastpath_hits": _metric(
             float(build_vc.fastpath_hits), "counter", "accesses",
             tol=0.5,
         ),
-        "vc_sync_events": _metric(
+        "check_vc_sync_events": _metric(
             float(build_vc.sync_events), "counter", "events"
         ),
-        "hooks_active_when_off": _metric(
+        "check_hooks_active_when_off": _metric(
             hooks_active, "counter", "bool"
         ),
     }
 
 
-def _wl_telemetry_overhead(ctx: PerfContext) -> Dict[str, Dict[str, Any]]:
-    """The telemetry relay must cost the threaded build <5%.
-
-    Same direct-measurement reasoning as the other overhead gates: a 5%
-    bound cannot be asserted by differencing two whole-build walls
-    under ±10% run noise.  Per committed root the relay adds exactly
-    one :func:`repro.obs.bus.publish_event` call on the worker thread
-    (a global load, a dict build and a deque append — the delta
-    collection, span scan and socket write all ride the flush thread),
-    so the hooks' added work is timed directly — the build's observed
-    event count replayed against an installed bus, min-of-3 — and
-    divided by the plain build wall.  ``overhead_within_gate`` (exact
-    counter) fails the comparison outright if that fraction exceeds
-    0.05.
-
-    The end-to-end leg builds once with the full plane live — in-process
-    :class:`~repro.obs.relay.Collector` on a *private* registry (merging
-    into the registry the client diffs would re-ship every merged
-    increment forever), relay client on the process registry, bus sized
-    to the build so backpressure, not capacity, is under test — and
-    pins the merge exact: the collector's merged
-    ``parapll_build_roots_total`` must equal the source registry's own
-    cumulative total (shipped deltas always sum to the source's truth —
-    see :class:`repro.obs.bus.MetricsDelta`), with zero drops, zero
-    malformed frames and zero merge errors.  When no bus is installed the producers must dispatch to
-    nothing: ``bus_active_when_off`` pins the off-path to an exact
-    zero.
-    """
-    import gc
-
+def _telemetry_cost(
+    ctx: PerfContext, threads: float
+) -> Dict[str, Dict[str, Any]]:
     from repro.obs import bus as _bus
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.relay import Collector, RelayClient
     from repro.parallel.threads import build_parallel_threads
 
     n = ctx.graph.num_vertices
+    bus_active = 1.0 if _bus.active() is not None else 0.0
 
-    def plain_wall() -> float:
-        t0 = time.perf_counter()
-        build_parallel_threads(ctx.graph, 4, policy="dynamic")
-        return time.perf_counter() - t0
-
-    # Same GC discipline as check_overhead: automatic gen2 passes over
-    # the suite's accumulated heap would dominate the measured fraction.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
+    # End-to-end: one build with the relay plane fully live.  The
+    # collector merges into a *private* registry (merging into the one
+    # the client diffs would re-ship every merged increment forever)
+    # and the bus is sized to the build, so backpressure, not capacity,
+    # is under test.
+    collector = Collector("127.0.0.1", 0, registry=MetricsRegistry()).start()
     try:
-        bus_active = 1.0 if _bus.active() is not None else 0.0
-        plain = min(plain_wall() for _ in range(3))
-
-        # End-to-end: one build with the relay plane fully live.
-        collector = Collector(
-            "127.0.0.1", 0, registry=MetricsRegistry()
-        ).start()
+        client = RelayClient(
+            collector.host,
+            collector.port,
+            rank=0,
+            bus=_bus.TelemetryBus(capacity=4 * n + 1024),
+            flush_interval=0.05,
+        )
         try:
-            client = RelayClient(
-                collector.host,
-                collector.port,
-                rank=0,
-                bus=_bus.TelemetryBus(capacity=4 * n + 1024),
-                flush_interval=0.05,
-            )
-            try:
-                t0 = time.perf_counter()
-                build_parallel_threads(ctx.graph, 4, policy="dynamic")
-                relayed = time.perf_counter() - t0
-            finally:
-                client.close()
-            # close() flushed synchronously; wait for the collector's
-            # reader thread to drain the socket and see EOF.
-            deadline = time.perf_counter() + 10.0
-            while time.perf_counter() < deadline:
-                stats = collector.stats()
-                sources = stats["sources"]
-                if sources and not any(
-                    s["connected"] for s in sources.values()
-                ):
-                    break
-                time.sleep(0.01)
-            stats = collector.stats()
-            expected_roots = _counter_value("parapll_build_roots_total")
-            merged_roots = 0.0
-            for metric in collector.registry.snapshot():
-                if metric["name"] == "parapll_build_roots_total":
-                    merged_roots = sum(
-                        float(s["value"]) for s in metric["series"]
-                    )
-            event_frames = sum(
-                src["by_kind"].get("events", 0)
-                for src in stats["sources"].values()
+            relayed = _wall(
+                build_parallel_threads, ctx.graph, 4, policy="dynamic"
             )
         finally:
-            collector.close()
-
-        # The hooks' added work: the exact per-root producer cost, the
-        # observed number of times, against an installed bus.
-        def hook_wall() -> float:
-            bus = _bus.TelemetryBus(capacity=n + 16)
-            _bus.install(bus)
-            try:
-                t0 = time.perf_counter()
-                for root in range(n):
-                    _bus.publish_event(
-                        "root_commit", worker=0, root=root, labels=8
-                    )
-                return time.perf_counter() - t0
-            finally:
-                _bus.uninstall()
-
-        hook = min(hook_wall() for _ in range(3))
-        fraction = hook / plain
+            client.close()
+        # close() flushed synchronously; wait for the collector's
+        # reader thread to drain the socket and see EOF.
+        deadline = time.perf_counter() + 10.0
+        while time.perf_counter() < deadline:
+            sources = collector.stats()["sources"]
+            if sources and not any(s["connected"] for s in sources.values()):
+                break
+            time.sleep(0.01)
+        stats = collector.stats()
+        # Shipped deltas always sum to the source registry's cumulative
+        # total (see repro.obs.bus.MetricsDelta), so the merged counter
+        # must equal it exactly.
+        expected_roots = _counter_value("parapll_build_roots_total")
+        merged_roots = 0.0
+        for metric in collector.registry.snapshot():
+            if metric["name"] == "parapll_build_roots_total":
+                merged_roots = sum(float(s["value"]) for s in metric["series"])
+        event_frames = sum(
+            src["by_kind"].get("events", 0)
+            for src in stats["sources"].values()
+        )
     finally:
-        if gc_was_enabled:
-            gc.enable()
+        collector.close()
 
+    # The hooks' added work: the exact per-root producer cost, the
+    # observed number of times, against an installed bus.
+    def hook_wall() -> float:
+        _bus.install(_bus.TelemetryBus(capacity=n + 16))
+        try:
+            t0 = time.perf_counter()
+            for root in range(n):
+                _bus.publish_event("root_commit", worker=0, root=root, labels=8)
+            return time.perf_counter() - t0
+        finally:
+            _bus.uninstall()
+
+    fraction = _min_of(3, hook_wall) / threads
     return {
-        "plain_build_seconds": _metric(plain, "time", "s"),
-        "relay_build_seconds": _metric(relayed, "time", "s"),
-        # End-to-end wall ratio, informational only (see docstring).
-        "relay_overhead_ratio": _metric(relayed / plain, "time", "x", tol=0.5),
-        "relay_hook_fraction": _metric(fraction, "time", "x", tol=1.0),
-        # The hard gate: exact counter, 1.0 iff overhead <= 5%.
-        "overhead_within_gate": _metric(
-            1.0 if fraction <= 0.05 else 0.0, "counter", "bool"
+        "telemetry_relay_build_seconds": _metric(relayed, "time", "s"),
+        "telemetry_relay_overhead_ratio": _metric(
+            relayed / threads, "time", "x", tol=0.5
         ),
-        # Merge exactness: the collector's merged counter equals the
-        # source registry's cumulative total, and every root committed
-        # with the bus installed arrived as one event frame.
-        "merge_exact": _metric(
-            1.0 if merged_roots == expected_roots else 0.0,
-            "counter",
-            "bool",
+        "telemetry_relay_hook_fraction": _metric(
+            fraction, "time", "x", tol=1.0
         ),
-        "event_frames": _metric(float(event_frames), "counter", "frames"),
-        "relay_drops": _metric(float(stats["dropped"]), "counter", "frames"),
-        "malformed_frames": _metric(
+        "telemetry_within_gate": _gate(fraction, 0.05),
+        "telemetry_merge_exact": _metric(
+            1.0 if merged_roots == expected_roots else 0.0, "counter", "bool"
+        ),
+        # Every root committed with the bus installed arrives as one
+        # event frame.
+        "telemetry_event_frames": _metric(
+            float(event_frames), "counter", "frames"
+        ),
+        "telemetry_relay_drops": _metric(
+            float(stats["dropped"]), "counter", "frames"
+        ),
+        "telemetry_malformed_frames": _metric(
             float(stats["malformed"]), "counter", "frames"
         ),
-        "merge_errors": _metric(
+        "telemetry_merge_errors": _metric(
             float(stats["merge_errors"]), "counter", "errors"
         ),
-        "bus_active_when_off": _metric(bus_active, "counter", "bool"),
+        "telemetry_bus_active_when_off": _metric(
+            bus_active, "counter", "bool"
+        ),
     }
 
 
@@ -1006,12 +951,8 @@ def default_workloads() -> List[Workload]:
         Workload("batch_query", _wl_batch_query),
         Workload("server_roundtrip", _wl_server_roundtrip),
         Workload("index_invariants", _wl_index_invariants),
-        Workload("explain_overhead", _wl_explain_overhead),
-        Workload("audit_overhead", _wl_audit_overhead),
         Workload("serve_replay", _wl_serve_replay),
-        Workload("qlog_overhead", _wl_qlog_overhead),
-        Workload("check_overhead", _wl_check_overhead),
-        Workload("telemetry_overhead", _wl_telemetry_overhead),
+        Workload("hook_overhead", _wl_hook_overhead),
     ]
 
 

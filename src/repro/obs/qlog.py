@@ -40,7 +40,7 @@ queries using a seeded :class:`random.Random`, so a capture is
 reproducible for a fixed seed and arrival order.  With no recorder
 installed the hot-path cost is one module-global load and an ``is
 None`` test — the same discipline as :mod:`repro.obs.buildmon` — and
-that cost is gated by the ``qlog_overhead`` perf workload.
+that cost is gated by the ``hook_overhead`` perf workload.
 
 Dump format (``parapll-qlog/1``): a header line ``{"kind": "header",
 "schema": "parapll-qlog/1", "pid", "records", "capacity", "sampled",
@@ -59,6 +59,7 @@ from contextlib import contextmanager
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs import config as _config
+from repro.obs import export as _export
 
 __all__ = [
     "QLOG_SCHEMA",
@@ -234,24 +235,15 @@ class QueryLogRecorder:
             The number of records written (header excluded).
         """
         records = self.snapshot()
-        header = {
-            "kind": "header",
-            "schema": QLOG_SCHEMA,
-            "pid": os.getpid(),
-            "records": len(records),
-            "capacity": self.capacity,
-            "sampled": self.sampled,
-            "dumped_at": time.time(),
-        }
-        lines = [json.dumps(header)]
-        lines.extend(json.dumps(rec) for rec in records)
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_file, "write"):
-            path_or_file.write(text)  # type: ignore[union-attr]
-        else:
-            with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-                fh.write(text)
-        return len(records)
+        return _export.write_jsonl(
+            path_or_file,
+            QLOG_SCHEMA,
+            records,
+            pid=os.getpid(),
+            records=len(records),
+            capacity=self.capacity,
+            sampled=self.sampled,
+        )
 
 
 def read_qlog(path_or_lines: Union[str, List[str]]) -> List[Dict[str, Any]]:

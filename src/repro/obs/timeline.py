@@ -29,6 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.obs.export import write_text
 from repro.obs.trace import TraceRecord, get_tracer
 
 __all__ = [
@@ -297,12 +298,7 @@ def write_chrome_trace(
 ) -> int:
     """Write a Chrome trace JSON file; returns the trace-event count."""
     doc = chrome_trace(records)
-    text = json.dumps(doc, indent=1)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)  # type: ignore[union-attr]
-    else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:  # type: ignore[arg-type]
-            fh.write(text)
+    write_text(path_or_file, json.dumps(doc, indent=1))
     return len(doc["traceEvents"])
 
 

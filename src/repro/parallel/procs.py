@@ -31,8 +31,9 @@ the policies run in the parent, and the pipes form the process-safe
 dispatch channel.  Failures keep the thread backend's shape — the
 first failing worker's exception is re-raised ``from`` a
 :class:`~repro.errors.TaskError` naming worker and root — and the
-parent fail-fasts: after the first failure surviving workers are
-stopped at their next task boundary.  A worker that dies without a
+build fail-fasts: the first failing worker raises a shared
+cancellation event before it reports, so surviving workers stop at
+their next task boundary instead of waiting on the parent's round trip.  A worker that dies without a
 goodbye (SIGKILL, OOM) is detected through its process sentinel and
 reported the same way instead of hanging the build.
 
@@ -133,6 +134,7 @@ def _worker_main(
     conn: Any,
     monitored: bool,
     relay: Optional[Tuple[str, int]],
+    cancel: Any,
 ) -> None:
     """One worker process: attach shared state, loop on dispatched roots.
 
@@ -141,6 +143,11 @@ def _worker_main(
     from this worker's own deltas directly: the parent commits a delta
     to the log *before* dispatching this worker's next root, so the
     sync at the next task boundary always includes our own labels.
+
+    *cancel* is the build's shared fail-fast event: a task received
+    after it is set is handed back unrun (``"cancelled"``), and a
+    failing worker sets it before anything else so the fleet stops
+    without waiting for the error report to reach the parent.
     """
     from repro.core.engines import make_engine
 
@@ -174,6 +181,9 @@ def _worker_main(
             if msg[0] == "stop":
                 return
             _tag, root, log_meta = msg
+            if cancel.is_set():
+                conn.send(("cancelled", root))
+                continue
             _flightrec.record("task_grab", worker=worker_id, root=root)
             log, synced = _sync_mirror(store, log, log_meta, synced)
             with _trace.span(
@@ -198,6 +208,7 @@ def _worker_main(
         # to, just exit quietly.
         return
     except BaseException as exc:  # shipped to the parent below
+        cancel.set()
         _flightrec.record(
             "worker_failure", worker=worker_id, root=root, error=repr(exc)
         )
@@ -304,6 +315,7 @@ def build_parallel_procs(
     commit_lock = _check_hooks.make_lock("parapll.commit_lock")
     monitor = _buildmon.active()
     errors: List[WorkerFailure] = []
+    cancel = ctx.Event()
 
     # Worker states: "busy" (owes us a message), "stopping" (stop sent,
     # waiting for a clean exit), "done" (exited cleanly), "dead".
@@ -316,6 +328,8 @@ def build_parallel_procs(
     def send_next(worker_id: int) -> None:
         """Dispatch the next root to *worker_id*, or stop it."""
         nonlocal stopping
+        if cancel.is_set():
+            stopping = True
         root = None if stopping else assignment.next_task(worker_id)
         if root is None:
             parent_conns[worker_id].send(("stop",))
@@ -371,6 +385,7 @@ def build_parallel_procs(
                         child_end,
                         monitor is not None,
                         relay,
+                        cancel,
                     ),
                     name=f"parapll-proc-{k}",
                     daemon=True,
@@ -420,6 +435,8 @@ def build_parallel_procs(
                     if msg[0] == "done":
                         commit(k, msg)
                         send_next(k)
+                    elif msg[0] == "cancelled":
+                        send_next(k)  # the event is set: this stops k
                     elif msg[0] == "error":
                         _tag, root, payload, exc_repr, tb = msg
                         exc: BaseException
@@ -457,6 +474,9 @@ def build_parallel_procs(
                             break
                         if msg[0] == "done":
                             commit(k, msg)
+                            state[k] = "stopping"
+                            roots_in_flight[k] = None
+                        elif msg[0] == "cancelled":
                             state[k] = "stopping"
                             roots_in_flight[k] = None
                         elif msg[0] == "error":

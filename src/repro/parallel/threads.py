@@ -150,7 +150,7 @@ def build_parallel_threads(
                 )
                 # Cross-process telemetry: one bus event per committed
                 # root (a no-op global load unless a relay installed a
-                # bus; the telemetry_overhead workload gates the cost).
+                # bus; the hook_overhead workload gates the cost).
                 _bus.publish_event(
                     "root_commit",
                     worker=worker_id,

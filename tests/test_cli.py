@@ -352,6 +352,21 @@ class TestExplain:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "parapll-explain/1"
+        assert set(doc) == {
+            "schema", "s", "t", "distance", "reachable",
+            "hub", "hub_rank", "candidates", "labels",
+        }
+        assert set(doc["labels"]) == {
+            "s_size", "t_size", "s_scanned", "t_scanned",
+        }
+        for c in doc["candidates"]:
+            assert set(c) == {
+                "hub_rank", "hub", "d_s", "d_t", "total", "role", "slack",
+            }
+            assert c["role"] in ("winner", "redundant", "dominated")
+        if doc["reachable"]:
+            roles = [c["role"] for c in doc["candidates"]]
+            assert roles.count("winner") == 1, roles
         index = PLLIndex.load(index_file)
         expected = index.distance(3, 17)
         got = math.inf if doc["distance"] == "inf" else doc["distance"]
@@ -399,9 +414,13 @@ class TestFlightrecDump:
         assert "dumped" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
+        assert header["kind"] == "header"
         assert header["schema"] == "parapll-flightrec/1"
         assert header["events"] == len(lines) - 1
-        kinds = {json.loads(x)["kind"] for x in lines[1:]}
+        events = [json.loads(x) for x in lines[1:]]
+        for e in events:
+            assert set(e) == {"seq", "ts", "mono", "kind", "thread", "attrs"}
+        kinds = {e["kind"] for e in events}
         assert "task_grab" in kinds and "label_commit" in kinds
 
     def test_remote_dump_from_live_server(self, index_file, tmp_path, capsys):
