@@ -1,4 +1,4 @@
-"""Incremental index maintenance under edge insertions.
+"""Incremental index maintenance under edge insertions and weight decreases.
 
 ParaPLL (like PLL) builds a static index; the natural follow-up —
 published for the unweighted case by Akiba, Iwata & Yoshida ("Dynamic
@@ -17,8 +17,17 @@ returns the exact post-insertion distance); it may contain entries that
 are *loose* for their hub (a shorter route via another hub exists) —
 harmless, because QUERY takes a minimum and the exact cover is present.
 
-Deletions invalidate labels globally and are intentionally out of
-scope; :meth:`DynamicPLL.rebuild` is the escape hatch.
+Lowering the weight of an existing edge is the same repair: an
+insertion is a decrease from infinity, and every stored distance stays
+the length of a real path when weights only fall, so the old entries
+remain valid upper bounds and the resumed searches add the improved
+ones (the ``change_edge_weight`` of dynamic PLL implementations).
+
+Deletions and weight increases invalidate labels globally and are
+intentionally out of scope; :meth:`DynamicPLL.rebuild` is the escape
+hatch.  Each repair appends to the label lists; the next query
+re-finalizes only the label rows the repair touched (see
+:mod:`repro.core.labels`).
 """
 
 from __future__ import annotations
@@ -85,7 +94,8 @@ class DynamicPLL:
         return query_distance(self.store, s, t)
 
     def current_graph(self) -> CSRGraph:
-        """Materialise the updated graph (original + inserted edges)."""
+        """Materialise the updated graph (original + inserted edges, at
+        their current weights)."""
         builder = GraphBuilder(num_vertices=self.num_vertices)
         for u in range(self.num_vertices):
             for v, w in self._adj[u]:
@@ -95,7 +105,11 @@ class DynamicPLL:
 
     # ------------------------------------------------------------------
     def insert_edge(self, a: int, b: int, weight: float) -> int:
-        """Insert undirected edge ``{a, b}`` and repair the index.
+        """Insert undirected edge ``{a, b}``, or lower its weight, and
+        repair the index.
+
+        On an existing edge a strictly lower *weight* replaces the old
+        one, and the index is repaired exactly as for an insertion.
 
         Args:
             a: first endpoint.
@@ -106,8 +120,8 @@ class DynamicPLL:
             The number of label entries added during the repair.
 
         Raises:
-            GraphError: on invalid endpoints/weight, self loops, or a
-                duplicate of an existing edge.
+            GraphError: on invalid endpoints/weight, self loops, or an
+                existing edge whose weight is not above *weight*.
         """
         n = self.num_vertices
         if not (0 <= a < n and 0 <= b < n):
@@ -116,12 +130,21 @@ class DynamicPLL:
             raise GraphError("self loops are not allowed")
         if not (weight > 0) or weight == INF or weight != weight:
             raise GraphError(f"edge weight must be positive finite: {weight}")
-        if any(v == b for v, _w in self._adj[a]):
-            raise GraphError(f"edge ({a}, {b}) already exists")
-
-        self._adj[a].append((b, float(weight)))
-        self._adj[b].append((a, float(weight)))
-        self._inserted.append((a, b, float(weight)))
+        weight = float(weight)
+        old = min((w for v, w in self._adj[a] if v == b), default=INF)
+        if old <= weight:
+            raise GraphError(
+                f"edge ({a}, {b}) already exists with weight {old}; "
+                f"only a lower weight can replace it"
+            )
+        for u, v in ((a, b), (b, a)):
+            if old == INF:
+                self._adj[u].append((v, weight))
+            else:
+                self._adj[u] = [
+                    (x, weight if x == v else w) for x, w in self._adj[u]
+                ]
+        self._inserted.append((a, b, weight))
 
         added = 0
         # Snapshot the endpoint labels before repairs mutate them.
@@ -135,7 +158,7 @@ class DynamicPLL:
 
     @property
     def inserted_edges(self) -> List[Tuple[int, int, float]]:
-        """Edges inserted since construction, in order."""
+        """Edges inserted or re-weighted since construction, in order."""
         return list(self._inserted)
 
     def rebuild(self) -> None:

@@ -25,11 +25,20 @@ Two layouts, one per lifecycle phase:
 A store built by :meth:`from_arrays` is *frozen*: it has no mutable
 lists until the first mutation, which thaws it (one O(E) expansion).
 Read accessors work directly off the CSR arrays while frozen.
+
+Re-finalizing is incremental.  While a CSR triple exists, every
+mutation records its vertex as *dirty*; the next :meth:`finalize`
+sorts and deduplicates only the dirty rows and splices them into a new
+triple (:func:`_splice_rows`), so an edge insert that touched two rows
+costs one O(E) copy instead of a full re-sort.  A store with no CSR
+(a fresh build) has every row dirty and takes the full sort.  Dirty
+rows are never served: the per-vertex finalized accessors raise until
+the store is finalized again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -86,6 +95,55 @@ def _sort_dedup_flat(
     return indptr, hubs, dists
 
 
+def _splice_rows(
+    indptr: np.ndarray,
+    hubs: np.ndarray,
+    dists: np.ndarray,
+    rows: np.ndarray,
+    sub: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A new CSR triple with the sorted, unique *rows* replaced.
+
+    Row ``rows[i]`` of the result is row ``i`` of the CSR triple *sub*;
+    every other row is the old one.  Each maximal run of consecutive
+    replaced rows, and each run of kept rows between them, is one slice
+    copy: the entries are copied once, and the Python work is
+    proportional to ``len(rows)``.  The result is always fresh in-RAM
+    arrays, so memory-mapped inputs are only read.
+    """
+    sub_indptr, sub_hubs, sub_dists = sub
+    n = len(indptr) - 1
+    sizes = np.diff(indptr)
+    sizes[rows] = np.diff(sub_indptr)
+    new_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(sizes, out=new_indptr[1:])
+    total = int(new_indptr[-1])
+    new_hubs = np.empty(total, dtype=np.int64)
+    new_dists = np.empty(total, dtype=np.float64)
+
+    # Runs of consecutive replaced rows: rows[lo[i]:hi[i]] is the run
+    # of vertices first[i] .. last[i] - 1.
+    breaks = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+    lo = [0] + breaks
+    hi = breaks + [len(rows)]
+    first = rows[lo].tolist()
+    last = (rows[np.asarray(hi) - 1] + 1).tolist()
+
+    def copy(src_h, src_d, a: int, b: int, dst: int) -> None:
+        new_hubs[dst:dst + b - a] = src_h[a:b]
+        new_dists[dst:dst + b - a] = src_d[a:b]
+
+    kept = 0  # first vertex of the current run of kept rows
+    for i in range(len(lo)):
+        copy(hubs, dists, int(indptr[kept]), int(indptr[first[i]]),
+             int(new_indptr[kept]))
+        copy(sub_hubs, sub_dists, int(sub_indptr[lo[i]]),
+             int(sub_indptr[hi[i]]), int(new_indptr[first[i]]))
+        kept = last[i]
+    copy(hubs, dists, int(indptr[kept]), int(indptr[n]), int(new_indptr[kept]))
+    return new_indptr, new_hubs, new_dists
+
+
 def _validate_csr(
     indptr: np.ndarray, hubs: np.ndarray, dists: np.ndarray
 ) -> None:
@@ -136,7 +194,8 @@ class LabelStore:
     The store starts empty (the paper's ``L_0``).  Builders append with
     :meth:`add` or :meth:`add_delta`; the pruning query reads through
     :meth:`hubs_of` / :meth:`dists_of`; :meth:`finalize` freezes the
-    store into the flat CSR form.
+    store into the flat CSR form.  Mutations after a finalize mark their
+    rows dirty, and the next finalize re-sorts only those.
     """
 
     __slots__ = (
@@ -146,6 +205,7 @@ class LabelStore:
         "_finalized_indptr",
         "_finalized_hubs",
         "_finalized_dists",
+        "_dirty",
     )
 
     def __init__(self, n: int) -> None:
@@ -157,6 +217,9 @@ class LabelStore:
         self._finalized_indptr: Optional[np.ndarray] = None
         self._finalized_hubs: Optional[np.ndarray] = None
         self._finalized_dists: Optional[np.ndarray] = None
+        # Rows mutated since the CSR triple was built; tracked only
+        # while one exists (without one, every row is re-sorted anyway).
+        self._dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Frozen-store support
@@ -185,11 +248,6 @@ class LabelStore:
             for v in range(self.n)
         ]
 
-    def _invalidate(self) -> None:
-        self._finalized_indptr = None
-        self._finalized_hubs = None
-        self._finalized_dists = None
-
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -206,7 +264,8 @@ class LabelStore:
             self._thaw()
         self._dists[v].append(dist)
         self._hubs[v].append(hub_rank)
-        self._invalidate()
+        if self._finalized_hubs is not None:
+            self._dirty.add(v)
 
     def add_delta(self, delta: Iterable[Tuple[int, int, float]]) -> int:
         """Bulk-append ``(v, hub_rank, dist)`` triples; returns the count.
@@ -218,13 +277,14 @@ class LabelStore:
         if self._hubs is None:
             self._thaw()
         hubs, dists = self._hubs, self._dists
+        dirty = self._dirty if self._finalized_hubs is not None else None
         count = 0
         for v, h, d in delta:
             dists[v].append(d)
             hubs[v].append(h)
+            if dirty is not None:
+                dirty.add(v)
             count += 1
-        if count:
-            self._invalidate()
         return count
 
     def extend_from_arrays(
@@ -244,14 +304,15 @@ class LabelStore:
         if self._hubs is None:
             self._thaw()
         hubs_l, dists_l = self._hubs, self._dists
+        dirty = self._dirty if self._finalized_hubs is not None else None
         count = 0
         for v, h, d in zip(verts, hub_ranks, dists):
             v = int(v)
             dists_l[v].append(float(d))
             hubs_l[v].append(int(h))
+            if dirty is not None:
+                dirty.add(v)
             count += 1
-        if count:
-            self._invalidate()
         return count
 
     # ------------------------------------------------------------------
@@ -314,31 +375,61 @@ class LabelStore:
     def finalize(self) -> None:
         """Sort each label by hub rank, deduplicate, and freeze to CSR.
 
-        Safe to call repeatedly; re-finalises only after mutations (and
-        is a no-op on a store adopted via :meth:`from_arrays`).
-        Duplicated hubs (from delayed synchronisation) keep the smallest
-        distance — which by construction is the true distance, since any
-        stored distance for the same (hub, v) pair is produced by an
-        exact Dijkstra from the hub.
+        Safe to call repeatedly; a no-op without mutations (and on a
+        store adopted via :meth:`from_arrays`).  Duplicated hubs (from
+        delayed synchronisation) keep the smallest distance — which by
+        construction is the true distance, since any stored distance for
+        the same (hub, v) pair is produced by an exact Dijkstra from the
+        hub.
+
+        Without a CSR triple every row is sorted.  With one, only the
+        rows mutated since (the dirty rows) are re-sorted by the same
+        per-row rules and spliced into a new triple; the result is
+        bit-identical to a full sort of the same lists.
         """
-        if self._finalized_hubs is not None:
+        if self._finalized_hubs is None:
+            triple = _sort_dedup_flat(self.n, self._hubs, self._dists)
+        elif self._dirty:
+            dirty = self._dirty
+            rows = np.unique(
+                np.fromiter(dirty, dtype=np.int64, count=len(dirty)) % self.n
+            )
+            hub_lists, dist_lists = self._hubs, self._dists
+            sub = _sort_dedup_flat(
+                len(rows),
+                [hub_lists[v] for v in rows.tolist()],
+                [dist_lists[v] for v in rows.tolist()],
+            )
+            triple = _splice_rows(
+                self._finalized_indptr,
+                self._finalized_hubs,
+                self._finalized_dists,
+                rows,
+                sub,
+            )
+        else:
             return
-        indptr, hubs, dists = _sort_dedup_flat(self.n, self._hubs, self._dists)
-        self._finalized_indptr = indptr
-        self._finalized_hubs = hubs
-        self._finalized_dists = dists
+        (
+            self._finalized_indptr,
+            self._finalized_hubs,
+            self._finalized_dists,
+        ) = triple
+        # Cleared only once the new triple is in place, so a failed
+        # splice leaves the rows dirty rather than serving stale ones.
+        self._dirty = set()
 
     def finalized_hubs(self, v: int) -> np.ndarray:
         """Sorted, deduplicated hub ranks of ``L(v)``: a zero-copy slice
-        of the flat CSR array (after finalize)."""
-        if self._finalized_hubs is None:
+        of the flat CSR array (after finalize; raises while any row is
+        mutated but not re-finalized)."""
+        if self._finalized_hubs is None or self._dirty:
             raise NotIndexedError("call LabelStore.finalize() first")
         indptr = self._finalized_indptr
         return self._finalized_hubs[int(indptr[v]):int(indptr[v + 1])]
 
     def finalized_dists(self, v: int) -> np.ndarray:
         """Distances parallel to :meth:`finalized_hubs` (zero-copy)."""
-        if self._finalized_dists is None:
+        if self._finalized_hubs is None or self._dirty:
             raise NotIndexedError("call LabelStore.finalize() first")
         indptr = self._finalized_indptr
         return self._finalized_dists[int(indptr[v]):int(indptr[v + 1])]
@@ -411,18 +502,20 @@ class LabelStore:
             raise GraphError("cannot merge label stores of different sizes")
         if self._hubs is None:
             self._thaw()
+        track = self._finalized_hubs is not None
         added = 0
         for v in range(self.n):
             have = set(self._hubs[v])
             entries = other.entries_of(v)
+            before = added
             for h, d in entries:
                 if h not in have:
                     self._hubs[v].append(h)
                     self._dists[v].append(d)
                     have.add(h)
                     added += 1
-        if added:
-            self._invalidate()
+            if track and added > before:
+                self._dirty.add(v)
         return added
 
     # ------------------------------------------------------------------
@@ -488,6 +581,7 @@ class LabelStore:
         store._finalized_indptr = indptr
         store._finalized_hubs = hubs
         store._finalized_dists = dists
+        store._dirty = set()
         return store
 
     # ------------------------------------------------------------------

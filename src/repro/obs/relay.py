@@ -254,7 +254,8 @@ class RelayClient:
         self._closed = True
         self._stop.set()
         self._thread.join(timeout=5.0)
-        _hooks.join(self._thread.name)
+        if not self._thread.is_alive():
+            _hooks.join(self._thread.name)
         self.flush()
         if self._installed:
             _bus.uninstall()

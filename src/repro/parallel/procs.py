@@ -237,6 +237,29 @@ def _worker_main(
         conn.close()
 
 
+def _decode_error(worker: int, msg: Tuple[Any, ...]) -> WorkerFailure:
+    """The failure a worker's ``("error", root, payload, repr, tb)`` reply
+    reports: its original exception when *payload* unpickles, else a
+    :class:`~repro.errors.TaskError` carrying the repr and traceback."""
+    _tag, root, payload, exc_repr, tb = msg
+    if payload is not None:
+        try:
+            exc = pickle.loads(payload)
+        except Exception as unpickle_exc:
+            exc_repr = f"{exc_repr} (unpicklable: {unpickle_exc!r})"
+        else:
+            return WorkerFailure(worker=worker, root=root, exc=exc)
+    return WorkerFailure(
+        worker=worker,
+        root=root,
+        exc=TaskError(
+            f"worker {worker} failed on root {root}: {exc_repr}\n{tb}",
+            worker=worker,
+            root=root,
+        ),
+    )
+
+
 def _reraise_first(errors: List[WorkerFailure]) -> None:
     """Re-raise the first failure with the thread backend's shape."""
     failure = errors[0]
@@ -438,27 +461,7 @@ def build_parallel_procs(
                     elif msg[0] == "cancelled":
                         send_next(k)  # the event is set: this stops k
                     elif msg[0] == "error":
-                        _tag, root, payload, exc_repr, tb = msg
-                        exc: BaseException
-                        if payload is not None:
-                            try:
-                                exc = pickle.loads(payload)
-                            except Exception as unpickle_exc:
-                                payload = None
-                                exc_repr = (
-                                    f"{exc_repr} "
-                                    f"(unpicklable: {unpickle_exc!r})"
-                                )
-                        if payload is None:
-                            exc = TaskError(
-                                f"worker {k} failed on root {root}: "
-                                f"{exc_repr}\n{tb}",
-                                worker=k,
-                                root=root,
-                            )
-                        errors.append(
-                            WorkerFailure(worker=k, root=root, exc=exc)
-                        )
+                        errors.append(_decode_error(k, msg))
                         stopping = True
                         state[k] = "stopping"  # it exits after sending
                         roots_in_flight[k] = None
@@ -480,26 +483,7 @@ def build_parallel_procs(
                             state[k] = "stopping"
                             roots_in_flight[k] = None
                         elif msg[0] == "error":
-                            _tag, root, payload, exc_repr, tb = msg
-                            if payload is not None:
-                                try:
-                                    exc = pickle.loads(payload)
-                                except Exception as unpickle_exc:
-                                    payload = None
-                                    exc_repr = (
-                                        f"{exc_repr} "
-                                        f"(unpicklable: {unpickle_exc!r})"
-                                    )
-                            if payload is None:
-                                exc = TaskError(
-                                    f"worker {k} failed on root {root}: "
-                                    f"{exc_repr}\n{tb}",
-                                    worker=k,
-                                    root=root,
-                                )
-                            errors.append(
-                                WorkerFailure(worker=k, root=root, exc=exc)
-                            )
+                            errors.append(_decode_error(k, msg))
                             stopping = True
                             state[k] = "stopping"
                             roots_in_flight[k] = None

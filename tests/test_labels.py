@@ -1,8 +1,13 @@
 """Tests for the LabelStore."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.index import PLLIndex
 from repro.core.labels import LabelStore
 from repro.errors import GraphError, NotIndexedError
 
@@ -356,3 +361,179 @@ class TestExtendFromArrays:
         frozen = LabelStore.from_arrays(**a.to_arrays())
         assert frozen.extend_from_arrays([1], [1], [2.0]) == 1
         assert frozen.label_size(1) == 1
+
+
+# ----------------------------------------------------------------------
+# Incremental re-finalize
+# ----------------------------------------------------------------------
+KINDS = ("memory", "frozen", "mmap")
+N_MAX = 6
+# Few distinct distances, so duplicated hubs often tie or differ.
+DISTS = st.sampled_from([0.0, 1e-9, 1.0, 2.5, 7.0, 1e9])
+
+
+def _entries(n):
+    return st.lists(
+        st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1), DISTS
+        ),
+        max_size=8,
+    )
+
+
+def _ops(n):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), _entries(n)),
+            st.tuples(st.just("add_delta"), _entries(n)),
+            st.tuples(st.just("extend"), _entries(n)),
+            st.tuples(st.just("merge"), _entries(n)),
+            st.just(("finalize", None)),
+        ),
+        max_size=12,
+    )
+
+
+def _rows(store):
+    """The store's current per-row lists (what a full sort would see)."""
+    return [
+        (list(store.hubs_of(v)), list(store.dists_of(v)))
+        for v in range(store.n)
+    ]
+
+
+def _fully_finalized(rows):
+    """The triple of a fresh store built from *rows* and finalized."""
+    fresh = LabelStore(len(rows))
+    for v, (hubs, dists) in enumerate(rows):
+        for h, d in zip(hubs, dists):
+            fresh.add(v, h, d)
+    return fresh.finalized_arrays()
+
+
+def _assert_bit_identical(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def _store_of_kind(kind, n, initial, tmpdir):
+    """A finalized store holding *initial*, in memory, frozen or mmap'd."""
+    store = LabelStore(n)
+    store.add_delta(initial)
+    store.finalize()
+    if kind == "memory":
+        return store
+    if kind == "frozen":
+        return LabelStore.from_arrays(
+            *(a.copy() for a in store.finalized_arrays())
+        )
+    PLLIndex(store, np.arange(n)).save(tmpdir, format="dir")
+    loaded = PLLIndex.load(tmpdir, mmap=True).store
+    assert isinstance(loaded.finalized_arrays()[1], np.memmap)
+    return loaded
+
+
+def _apply(store, op, arg):
+    if op == "add":
+        for v, h, d in arg:
+            store.add(v, h, d)
+    elif op == "add_delta":
+        store.add_delta(arg)
+    elif op == "extend":
+        cols = np.array(arg, dtype=np.float64).reshape(-1, 3).T
+        store.extend_from_arrays(
+            cols[0].astype(np.int64), cols[1].astype(np.int64), cols[2]
+        )
+    elif op == "merge":
+        other = LabelStore(store.n)
+        other.add_delta(arg)
+        store.merge_from(other)
+
+
+class TestIncrementalFinalize:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_splice_equals_full_finalize(self, data):
+        n = data.draw(st.integers(1, N_MAX))
+        initial = data.draw(_entries(n))
+        ops = data.draw(_ops(n))
+        for kind in KINDS:
+            with tempfile.TemporaryDirectory() as tmpdir:
+                store = _store_of_kind(kind, n, initial, tmpdir)
+                files = {}
+                if kind == "mmap":
+                    for name in ("label_hubs", "label_dists"):
+                        with open(f"{tmpdir}/{name}.npy", "rb") as fh:
+                            files[name] = fh.read()
+                for op, arg in ops:
+                    if op == "finalize":
+                        store.finalize()
+                        _assert_bit_identical(
+                            store.finalized_arrays(),
+                            _fully_finalized(_rows(store)),
+                        )
+                        continue
+                    before = _rows(store)
+                    _apply(store, op, arg)
+                    changed = [
+                        v for v, row in enumerate(_rows(store))
+                        if row != before[v]
+                    ]
+                    if changed:
+                        # A row changed since the last finalize: the
+                        # per-row accessors must not serve it.
+                        with pytest.raises(NotIndexedError):
+                            store.finalized_hubs(changed[0])
+                store.finalize()
+                _assert_bit_identical(
+                    store.finalized_arrays(), _fully_finalized(_rows(store))
+                )
+                # The mmap files are never written.
+                for name, raw in files.items():
+                    with open(f"{tmpdir}/{name}.npy", "rb") as fh:
+                        assert fh.read() == raw
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_pre_mutation_row_is_served(self, kind):
+        with tempfile.TemporaryDirectory() as tmpdir:
+            store = _store_of_kind(
+                kind, 4, [(0, 0, 0.0), (1, 0, 1.0), (1, 1, 0.0), (3, 3, 0.0)],
+                tmpdir,
+            )
+            before = store.finalized_hubs(1).tolist()
+            store.add(1, 3, 2.0)
+            store.add(1, 0, 0.5)  # a lower distance for a present hub
+            for read in (store.finalized_hubs, store.finalized_dists):
+                for v in range(4):
+                    with pytest.raises(NotIndexedError):
+                        read(v)
+            indptr, hubs, dists = store.finalized_arrays()
+            row = slice(int(indptr[1]), int(indptr[2]))
+            assert before == [0, 1]
+            assert hubs[row].tolist() == [0, 1, 3]
+            assert dists[row].tolist() == [0.5, 0.0, 2.0]
+            assert store.finalized_dists(1).tolist() == [0.5, 0.0, 2.0]
+            assert store.finalized_hubs(3).tolist() == [3]
+
+    def test_splice_allocates_fresh_arrays(self):
+        store = LabelStore(3)
+        store.add_delta([(0, 0, 0.0), (2, 2, 0.0)])
+        store.finalize()
+        old = [a.copy() for a in store.finalized_arrays()]
+        held = store.finalized_arrays()
+        store.add(2, 0, 4.0)
+        store.finalize()
+        # A caller still holding the old triple sees the old rows.
+        for a, b in zip(held, old):
+            assert a.tobytes() == b.tobytes()
+        assert store.finalized_hubs(2).tolist() == [0, 2]
+
+    def test_builder_without_csr_tracks_nothing(self):
+        store = LabelStore(3)
+        store.add_delta([(0, 0, 0.0), (1, 0, 1.0)])
+        store.extend_from_arrays([2], [0], [3.0])
+        assert not store._dirty
+        store.finalize()
+        store.add(2, 2, 0.0)
+        assert store._dirty == {2}

@@ -315,6 +315,29 @@ class TestCollectorLifecycle:
         assert "telemetry-collector" not in names
 
 
+class TestRelayClientLifecycle:
+    def test_close_is_prompt_and_joins_flush_thread(self):
+        with Collector(registry=MetricsRegistry()) as collector:
+            client = RelayClient(
+                collector.host,
+                collector.port,
+                registry=MetricsRegistry(),
+                bus=TelemetryBus(),
+                install_bus=False,
+                flush_interval=1.0,
+            )
+            time.sleep(0.1)  # let the flush thread block in its wait
+            t0 = time.perf_counter()
+            client.close()
+            assert time.perf_counter() - t0 < 1.0
+            assert not client._thread.is_alive()
+            sent = client.frames_sent
+            t0 = time.perf_counter()
+            client.close()  # a second close is a no-op
+            assert time.perf_counter() - t0 < 0.1
+            assert client.frames_sent == sent
+
+
 class TestRelayInProcess:
     """Client + collector in one process, on private registries.
 
